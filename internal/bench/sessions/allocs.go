@@ -1,6 +1,7 @@
 package sessions
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -14,7 +15,9 @@ const flatWorkers = 4
 
 // MeasureAllocs counts heap allocations on the hot paths the ROADMAP asks
 // to gate machine-independently: a full lockstep solve, the same solve on
-// the chunk-parallel flat runner, and a session delta batch. Allocation
+// the chunk-parallel flat runner, a session delta batch, and instance
+// admission — the JSON decode into CSR and a cold content hash, which a
+// return to per-edge allocation would multiply by the edge count. Allocation
 // counts are a property of the code, not the hardware, so the baseline
 // comparator holds them to exact equality (the 0.001 tolerance is
 // float-formatting slack) — the regression gate that raw wall-clock
@@ -40,7 +43,33 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 			panic(err)
 		}
 	})
-	updateAllocs, err := sessionUpdateAllocs(inst, delta, 20)
+	updateAllocs, err := coldAllocs(20, func() (func() error, error) {
+		s, err := distcover.NewSession(inst)
+		if err != nil {
+			return nil, err
+		}
+		return func() error { _, err := s.Update(delta); return err }, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var wire bytes.Buffer
+	if _, err := inst.WriteTo(&wire); err != nil {
+		return nil, nil, err
+	}
+	readAllocs := testing.AllocsPerRun(20, func() {
+		if _, err := distcover.ReadInstance(bytes.NewReader(wire.Bytes())); err != nil {
+			panic(err)
+		}
+	})
+	// Hash is memoized, so every run hashes a freshly decoded instance.
+	hashAllocs, err := coldAllocs(20, func() (func() error, error) {
+		fresh, err := distcover.ReadInstance(bytes.NewReader(wire.Bytes()))
+		if err != nil {
+			return nil, err
+		}
+		return func() error { fresh.Hash(); return nil }, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -53,10 +82,14 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 	t.AddRow("Solve (lockstep, 2000x4000 f=3)", fmt.Sprintf("%.0f", solveAllocs))
 	t.AddRow(fmt.Sprintf("Solve (flat, %d workers)", flatWorkers), fmt.Sprintf("%.0f", flatAllocs))
 	t.AddRow("Session.Update (100-edge delta)", fmt.Sprintf("%.0f", updateAllocs))
+	t.AddRow("ReadInstance (2000x4000 JSON)", fmt.Sprintf("%.0f", readAllocs))
+	t.AddRow("Instance.Hash (cold)", fmt.Sprintf("%.0f", hashAllocs))
 	ms := []bench.Measurement{
 		{Name: "allocs/solve/sim", Value: solveAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/solve/flat", Value: flatAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/session/update", Value: updateAllocs, Unit: "allocs", Tolerance: 0.001},
+		{Name: "allocs/instance/read", Value: readAllocs, Unit: "allocs", Tolerance: 0.001},
+		{Name: "allocs/instance/hash", Value: hashAllocs, Unit: "allocs", Tolerance: 0.001},
 	}
 	return ms, []bench.Table{t}, nil
 }
@@ -107,32 +140,33 @@ func allocProbeFixture() (*distcover.Instance, distcover.Delta, error) {
 	return inst, d, nil
 }
 
-// sessionUpdateAllocs measures the allocations of one Session.Update the
-// way testing.AllocsPerRun does (GOMAXPROCS(1), averaged, rounded down),
-// but with per-run setup outside the measured region: each run gets a
-// fresh session so every Update applies the identical delta to identical
-// state.
-func sessionUpdateAllocs(inst *distcover.Instance, d distcover.Delta, runs int) (float64, error) {
+// coldAllocs measures the allocations of one operation the way
+// testing.AllocsPerRun does (GOMAXPROCS(1), averaged, rounded down), but
+// with per-run setup outside the measured region: setup returns the
+// operation to measure on fresh state, so every run does the identical
+// work (one Session.Update on a new session, one Hash of an unhashed
+// instance).
+func coldAllocs(runs int, setup func() (func() error, error)) (float64, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Warm up one full cycle so one-time lazy initialization is excluded.
-	warm, err := distcover.NewSession(inst)
+	op, err := setup()
 	if err != nil {
 		return 0, err
 	}
-	if _, err := warm.Update(d); err != nil {
+	if err := op(); err != nil {
 		return 0, err
 	}
 	var total uint64
 	var ms runtime.MemStats
 	for i := 0; i < runs; i++ {
-		s, err := distcover.NewSession(inst)
+		op, err := setup()
 		if err != nil {
 			return 0, err
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		if _, err := s.Update(d); err != nil {
+		if err := op(); err != nil {
 			return 0, err
 		}
 		runtime.ReadMemStats(&ms)

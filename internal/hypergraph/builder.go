@@ -66,29 +66,57 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 // Build validates the instance and returns the immutable hypergraph. The
 // builder remains usable; the built hypergraph does not alias its storage.
 func (b *Builder) Build() (*Hypergraph, error) {
-	if len(b.edges) > 0 && len(b.weights) == 0 {
-		return nil, ErrNoVertices
+	g := new(Hypergraph)
+	if err := g.init(b.csr()); err != nil {
+		return nil, err
 	}
-	for v, w := range b.weights {
+	return g, nil
+}
+
+// csr copies the builder's contents into fresh, unvalidated CSR arrays.
+func (b *Builder) csr() (weights []int64, edgeOff []int, edgeVerts []VertexID) {
+	total := 0
+	for _, vs := range b.edges {
+		total += len(vs)
+	}
+	edgeOff = make([]int, len(b.edges)+1)
+	edgeVerts = make([]VertexID, 0, total)
+	for i, vs := range b.edges {
+		edgeVerts = append(edgeVerts, vs...)
+		edgeOff[i+1] = len(edgeVerts)
+	}
+	return append([]int64(nil), b.weights...), edgeOff, edgeVerts
+}
+
+// init validates CSR arrays whose edge rows are already sorted and
+// deduplicated, then makes g the hypergraph they describe, taking
+// ownership of the arrays. Errors (and their order: vertices, weights,
+// then edges in id order) are those Build has always reported.
+func (g *Hypergraph) init(weights []int64, edgeOff []int, edgeVerts []VertexID) error {
+	m := max(len(edgeOff)-1, 0)
+	if m > 0 && len(weights) == 0 {
+		return ErrNoVertices
+	}
+	for v, w := range weights {
 		if w <= 0 {
-			return nil, fmt.Errorf("%w: vertex %d has weight %d", ErrNonPositiveWeight, v, w)
+			return fmt.Errorf("%w: vertex %d has weight %d", ErrNonPositiveWeight, v, w)
 		}
 	}
-	for i, e := range b.edges {
-		if len(e) == 0 {
-			return nil, fmt.Errorf("%w: edge %d", ErrEmptyEdge, i)
+	for e := 0; e < m; e++ {
+		row := edgeVerts[edgeOff[e]:edgeOff[e+1]]
+		if len(row) == 0 {
+			return fmt.Errorf("%w: edge %d", ErrEmptyEdge, e)
 		}
-		for _, v := range e {
-			if v < 0 || int(v) >= len(b.weights) {
-				return nil, fmt.Errorf("%w: edge %d references vertex %d (n=%d)",
-					ErrVertexRange, i, v, len(b.weights))
+		for _, v := range row {
+			if v < 0 || int(v) >= len(weights) {
+				return fmt.Errorf("%w: edge %d references vertex %d (n=%d)",
+					ErrVertexRange, e, v, len(weights))
 			}
 		}
 	}
-	g := &Hypergraph{weights: append([]int64(nil), b.weights...)}
-	g.setEdgesFromRows(b.edges)
+	*g = Hypergraph{weights: weights, edgeOff: edgeOff, edgeVerts: edgeVerts}
 	g.buildIncidence()
-	return g, nil
+	return nil
 }
 
 // MustBuild is Build but panics on error; intended for tests and statically

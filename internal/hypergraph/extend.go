@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 )
@@ -31,9 +32,10 @@ import (
 //     the |Δ| new entries are placed individually. The fresh arrays also
 //     guarantee the new graph's incidence shares nothing with the base,
 //     which keeps MemoryBytes honest per graph.
-//   - The canonical edge order behind Hash is maintained by merging the
-//     sorted new suffix into the base order — O(m) merge, no re-sort. The
-//     merged order is always a fresh slice, never shared with the base.
+//   - The canonical edge encoding behind Hash is maintained by merging the
+//     sorted new rows into the base's — O(m) copy, no re-sort — so the
+//     extended graph hashes in one sequential pass. The merged encoding is
+//     always fresh, never shared with the base.
 func (g *Hypergraph) Extend(addWeights []int64, addEdges [][]VertexID) (*Hypergraph, error) {
 	n := len(g.weights) + len(addWeights)
 	m0 := g.NumEdges()
@@ -43,10 +45,20 @@ func (g *Hypergraph) Extend(addWeights []int64, addEdges [][]VertexID) (*Hypergr
 				ErrNonPositiveWeight, len(g.weights)+i, w)
 		}
 	}
-	newEdges := make([][]VertexID, len(addEdges))
+	// Copy the rows into one buffer and sort/deduplicate them there: one
+	// allocation for the whole delta, and the caller's slices stay as given.
 	addVerts := 0
+	for _, e := range addEdges {
+		addVerts += len(e)
+	}
+	buf := make([]VertexID, 0, addVerts)
+	newEdges := make([][]VertexID, len(addEdges))
+	addVerts = 0
 	for i, e := range addEdges {
-		vs := sortedUnique(e)
+		start := len(buf)
+		buf = append(buf, e...)
+		buf = buf[:start+sortUniqueInPlace(buf[start:])]
+		vs := buf[start:len(buf):len(buf)]
 		if len(vs) == 0 {
 			return nil, fmt.Errorf("%w: edge %d", ErrEmptyEdge, m0+i)
 		}
@@ -87,7 +99,7 @@ func (g *Hypergraph) Extend(addWeights []int64, addEdges [][]VertexID) (*Hypergr
 		h.edgeOff = append(h.edgeOff, len(h.edgeVerts))
 	}
 	h.extendIncidence(g, newEdges)
-	h.canon = mergeCanonicalOrder(h, g.canon, m0)
+	h.mergeCanonical(g)
 	return h, nil
 }
 
@@ -173,48 +185,61 @@ func growCopy[T any](s []T, extra int) []T {
 	return out
 }
 
-// mergeCanonicalOrder computes the canonical (lexicographic) edge order of
-// the extended graph h by merging the base order of edges [0, m0) — cached
-// if a prior Extend left one, sorted once otherwise — with the sorted order
-// of the new suffix [m0, m). Each new edge's insertion point is found by
-// binary search and the runs between them are block-copied, so the merge
-// costs O(k·(log k + log m)) comparisons plus one O(m) memmove — the
-// comparator never walks the whole old order. The result is always a fresh
-// slice: sharing the base's order across the extension tree would make the
-// graphs' byte accounting (MemoryBytes) overlap.
-func mergeCanonicalOrder(h *Hypergraph, oldOrder []int, m0 int) []int {
-	if oldOrder == nil {
-		oldOrder = h.canonicalEdgeOrder(0, m0)
+// mergeCanonical sets h's canonical edge encoding (canonEnc/canonAt, see
+// Hash) by merging the base graph's rows — kept by a prior Extend, or
+// encoded once from the sorted order — with the sorted new edges [m0, m).
+// Each new edge's insertion point is found by binary search over the base
+// rows and the runs between them are block-copied, so the merge costs
+// O(k·(log k + log m)) comparisons plus O(m) copying — the comparator
+// never walks the whole base. The result is always fresh: sharing the
+// base's encoding across the extension tree would make the graphs' byte
+// accounting (MemoryBytes) overlap.
+func (h *Hypergraph) mergeCanonical(g *Hypergraph) {
+	m0, m := g.NumEdges(), h.NumEdges()
+	// Every value encoded is a vertex id or an edge size, so each takes at
+	// most as many bytes as max(n, rank): the rows fit one allocation.
+	width := (bits.Len64(uint64(max(len(h.weights), h.rank))|1) + 6) / 7
+	oldEnc, oldAt := g.canonEnc, g.canonAt
+	if oldAt == nil {
+		oldEnc, oldAt = h.appendRows(make([]byte, 0, (m0+h.edgeOff[m0])*width),
+			make([]int, 0, m0), h.canonicalEdgeOrder(m0))
 	}
-	newOrder := h.canonicalEdgeOrder(m0, h.NumEdges())
-	if len(newOrder) == 0 {
-		return append([]int(nil), oldOrder...)
+	newOrder := make([]int, m-m0)
+	for i := range newOrder {
+		newOrder[i] = m0 + i
 	}
-	merged := make([]int, 0, h.NumEdges())
+	h.sortEdges(newOrder)
+	newEnc, newAt := h.appendRows(make([]byte, 0, (m-m0+h.edgeOff[m]-h.edgeOff[m0])*width),
+		make([]int, 0, m-m0), newOrder)
+	h.canonEnc = make([]byte, 0, len(oldEnc)+len(newEnc))
+	h.canonAt = make([]int, 0, m)
+	// copyRows appends rows [from, to) of enc/at (a row ends where the next
+	// starts, the last at the end of enc).
+	copyRows := func(enc []byte, at []int, from, to int) {
+		if from == to {
+			return
+		}
+		start, end := at[from], len(enc)
+		if to < len(at) {
+			end = at[to]
+		}
+		for _, a := range at[from:to] {
+			h.canonAt = append(h.canonAt, len(h.canonEnc)+a-start)
+		}
+		h.canonEnc = append(h.canonEnc, enc[start:end]...)
+	}
 	prev := 0
-	for _, ne := range newOrder {
+	for i, ne := range newOrder {
 		e := h.Edge(EdgeID(ne))
-		// First old position the new edge sorts strictly before; ties keep
-		// old edges first (equal edges hash identically either way), and
+		// First base row the new edge sorts strictly before; ties keep base
+		// rows first (equal edges encode identically either way), and
 		// newOrder being sorted keeps the positions non-decreasing.
-		pos := prev + sort.Search(len(oldOrder)-prev, func(i int) bool {
-			return edgeLexLess(e, h.Edge(EdgeID(oldOrder[prev+i])))
+		pos := prev + sort.Search(len(oldAt)-prev, func(j int) bool {
+			return compareEncoded(e, oldEnc[oldAt[prev+j]:]) < 0
 		})
-		merged = append(merged, oldOrder[prev:pos]...)
-		merged = append(merged, ne)
+		copyRows(oldEnc, oldAt, prev, pos)
+		copyRows(newEnc, newAt, i, i+1)
 		prev = pos
 	}
-	merged = append(merged, oldOrder[prev:]...)
-	return merged
-}
-
-// edgeLexLess is the canonical edge comparator: lexicographic on the sorted
-// vertex lists, shorter prefixes first. Must match canonicalEdgeOrder.
-func edgeLexLess(a, b []VertexID) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return len(a) < len(b)
+	copyRows(oldEnc, oldAt, prev, len(oldAt))
 }

@@ -26,7 +26,8 @@ package hypergraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 )
 
 // VertexID identifies a vertex. Vertices are numbered 0..NumVertices-1.
@@ -50,9 +51,17 @@ type Hypergraph struct {
 	incOff   []int
 	incEdges []EdgeID
 
-	rank      int   // max |edges[e]|, 0 if no edges
-	maxDegree int   // max |incidence[v]|, 0 if no edges
-	canon     []int // cached canonical edge order (see Hash); nil until Extend computes it
+	rank      int // max |edges[e]|, 0 if no edges
+	maxDegree int // max |incidence[v]|, 0 if no edges
+	// Extended graphs keep their edges' hash encoding in canonical order
+	// (see Hash): the rows back to back in canonEnc, row i starting at
+	// canonAt[i]. Both nil on built graphs.
+	canonEnc []byte
+	canonAt  []int
+	// digest memoizes Hash: nil until the first call computes it. The
+	// graph is immutable, so whichever concurrent caller stores first
+	// stores the same value every other caller computed.
+	digest atomic.Pointer[string]
 	// extended guards the spare capacity behind weights/edgeOff/edgeVerts:
 	// the first Extend from this graph claims it with a CAS and may append
 	// in place (the base graph only ever reads indices below its lengths);
@@ -156,15 +165,16 @@ func (g *Hypergraph) LocalMaxDegree(e EdgeID) int {
 }
 
 // MemoryBytes estimates the heap footprint of the instance from its CSR
-// array lengths (8 bytes per id, offset and weight). It deliberately counts
+// array lengths (8 bytes per id, offset and weight) plus the canonical
+// edge encoding an extended graph keeps for Hash. It deliberately counts
 // lengths, not capacities: along a claimed extension chain spare capacity is
 // shared between graphs, and charging it to every graph would double-count.
 // The coverd session registry uses this estimate for byte-budgeted
 // eviction.
 func (g *Hypergraph) MemoryBytes() int64 {
 	words := len(g.weights) + len(g.edgeOff) + len(g.edgeVerts) +
-		len(g.incOff) + len(g.incEdges) + len(g.canon)
-	return int64(8 * words)
+		len(g.incOff) + len(g.incEdges) + len(g.canonAt)
+	return int64(8*words + len(g.canonEnc))
 }
 
 // MinWeight returns min_v w(v), or 0 if there are no vertices.
@@ -284,8 +294,10 @@ func (g *Hypergraph) Clone() *Hypergraph {
 		incEdges:  append([]EdgeID(nil), g.incEdges...),
 		rank:      g.rank,
 		maxDegree: g.maxDegree,
-		canon:     append([]int(nil), g.canon...),
+		canonEnc:  append([]byte(nil), g.canonEnc...),
+		canonAt:   append([]int(nil), g.canonAt...),
 	}
+	h.digest.Store(g.digest.Load())
 	return h
 }
 
@@ -293,21 +305,6 @@ func (g *Hypergraph) Clone() *Hypergraph {
 func (g *Hypergraph) String() string {
 	return fmt.Sprintf("hypergraph{n=%d m=%d f=%d Δ=%d W=%d}",
 		g.NumVertices(), g.NumEdges(), g.Rank(), g.MaxDegree(), g.WeightSpread())
-}
-
-// setEdgesFromRows fills the edge CSR from validated rows (sorted, distinct,
-// in-range vertex ids).
-func (g *Hypergraph) setEdgesFromRows(rows [][]VertexID) {
-	total := 0
-	for _, vs := range rows {
-		total += len(vs)
-	}
-	g.edgeOff = make([]int, len(rows)+1)
-	g.edgeVerts = make([]VertexID, 0, total)
-	for i, vs := range rows {
-		g.edgeVerts = append(g.edgeVerts, vs...)
-		g.edgeOff[i+1] = len(g.edgeVerts)
-	}
 }
 
 // buildIncidence computes the incidence CSR, rank and max degree from the
@@ -348,13 +345,28 @@ func (g *Hypergraph) buildIncidence() {
 // sortedUnique returns a sorted copy of vs with duplicates removed.
 func sortedUnique(vs []VertexID) []VertexID {
 	out := append([]VertexID(nil), vs...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out[:sortUniqueInPlace(out)]
+}
+
+// sortUniqueInPlace sorts vs, moves its distinct values to the front and
+// returns how many there are. Edge rows are short (the rank f), so they
+// take an insertion sort; long rows fall back to slices.Sort.
+func sortUniqueInPlace(vs []VertexID) int {
+	if len(vs) > 16 {
+		slices.Sort(vs)
+	} else {
+		for i := 1; i < len(vs); i++ {
+			for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
+				vs[j], vs[j-1] = vs[j-1], vs[j]
+			}
+		}
+	}
 	k := 0
-	for i, v := range out {
-		if i == 0 || v != out[k-1] {
-			out[k] = v
+	for i, v := range vs {
+		if i == 0 || v != vs[k-1] {
+			vs[k] = v
 			k++
 		}
 	}
-	return out[:k]
+	return k
 }

@@ -101,3 +101,91 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScanInstanceShape pins which inputs the one-pass scanner takes
+// itself and which it leaves to encoding/json, so a scanner that silently
+// declines everything (and passes the differential fuzz trivially) fails.
+func TestScanInstanceShape(t *testing.T) {
+	g, err := PowerLaw(300, 900, 4, GenConfig{Seed: 3, MaxWeight: 1 << 40, Dist: WeightUniformRange})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, _ := g.MarshalJSON()
+	scanned := []string{
+		string(canonical),
+		decodeSeeds[0], decodeSeeds[1], decodeSeeds[2],
+		`{}`, `{"weights":[5]}`, `{"edges":[[0]]}`, `{"weights":[1],"edges":[[]]}`,
+		`{"weights":[-0,0],"edges":[[1,-0]]}`,
+		`{"weights":[9223372036854775807],"edges":[[-9223372036854775808]]}`,
+	}
+	fallback := []string{
+		`null`, `{"weights":null}`, `{"weights":[1],"edges":[null]}`,
+		`{"weights":[1],"weights":[1]}`, `{"extra":1}`, `{"Weights":[1]}`,
+		`{"weights":[1e2]}`, `{"weights":[1.0]}`,
+		`{"weights":[01]}`, `{"weights":[9223372036854775808]}`,
+		`{"edges":[[-9223372036854775809]]}`, `{}x`, `{"weights":[1],}`, `[1]`, ``,
+	}
+	for _, s := range scanned {
+		if _, _, _, ok := scanInstance([]byte(s)); !ok {
+			t.Errorf("scanner declined %.60q", s)
+		}
+	}
+	for _, s := range fallback {
+		if _, _, _, ok := scanInstance([]byte(s)); ok {
+			t.Errorf("scanner took %q, which needs encoding/json", s)
+		}
+	}
+	var h Hypergraph
+	if err := h.UnmarshalJSON(canonical); err != nil {
+		t.Fatal(err)
+	}
+	requireSameGraph(t, &h, g)
+	if out, _ := h.MarshalJSON(); !bytes.Equal(out, canonical) {
+		t.Fatal("scanned instance re-encodes differently")
+	}
+}
+
+// TestMarshalMatchesEncodingJSON checks the appender against the
+// encoding/json rendering of the same jsonInstance, byte for byte.
+func TestMarshalMatchesEncodingJSON(t *testing.T) {
+	empty := MustNew(nil, nil)
+	g, err := UniformRandom(50, 120, 3, GenConfig{Seed: 5, MaxWeight: 1 << 50, Dist: WeightUniformRange})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Hypergraph{empty, new(Hypergraph), g} {
+		inst := jsonInstance{Weights: g.Weights(), Edges: make([][]int, g.NumEdges())}
+		for e := range inst.Edges {
+			inst.Edges[e] = []int{}
+			for _, v := range g.Edge(EdgeID(e)) {
+				inst.Edges[e] = append(inst.Edges[e], int(v))
+			}
+		}
+		want, err := json.Marshal(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("MarshalJSON\n got %s\nwant %s", got, want)
+		}
+	}
+}
+
+// TestMarshalSizeBound checks MarshalJSON fits its up-front size bound, so
+// the encoding never reallocates mid-write.
+func TestMarshalSizeBound(t *testing.T) {
+	g, err := PowerLaw(1200, 3000, 4, GenConfig{Seed: 9, MaxWeight: 1 << 45, Dist: WeightUniformRange})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Hypergraph{new(Hypergraph), MustNew([]int64{7}, nil), MustNew([]int64{1, 10}, [][]VertexID{{0, 1}, {1}}), g} {
+		out, _ := g.MarshalJSON()
+		if bound := g.jsonSizeBound(); len(out) > bound || cap(out) != bound {
+			t.Fatalf("%v: encoded %d bytes into cap %d, bound %d", g, len(out), cap(out), bound)
+		}
+	}
+}

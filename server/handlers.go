@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"distcover"
@@ -35,35 +36,61 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, api.Error{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
+// decode reads the request body, bounded by MaxBodyBytes, and decodes its
+// first JSON value into v. It returns the body exactly as received — what
+// a ring forward relays — and false after writing an error response.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(v)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
 		} else {
 			writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		}
-		return false
+		return nil, false
 	}
-	return true
+	return body, true
 }
 
 // handleSolve solves one instance. Synchronous by default: the handler
 // submits the job and waits. With "async":true it returns 202 + a job id
 // immediately. A full queue yields 429 in both modes.
+//
+// The instance is parsed and hashed exactly once per member: the job's
+// content hash is both the ring routing key and the cache key, and a
+// misrouted solve is forwarded with the body bytes it arrived with.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req api.SolveRequest
-	if !s.decode(w, r, &req) {
+	body, ok := s.decode(w, r, &req)
+	if !ok {
 		return
 	}
-	if s.ringst != nil && s.ringSolveRoute(w, r, &req) {
-		return
+	j, parseErr := parseJob(req)
+	if parseErr == nil {
+		if owner := s.ringSolveOwner(r, req.Async, j.hash); owner != "" {
+			// The owner parses the instance itself: drop this copy instead
+			// of holding it across the round trip, and rebuild it only if
+			// no forward gets through.
+			key := j.hash
+			j = nil
+			if s.ringForwardSolve(w, r, owner, key, body) {
+				return
+			}
+			j, parseErr = parseJob(req)
+		}
 	}
-	j, err := s.buildJob(req)
-	if err != nil {
+	// The owner decides whether it can serve the engine; only a request
+	// served here is checked against this server's configuration.
+	if err := s.checkEngine(req.Options); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if parseErr != nil {
+		writeError(w, http.StatusBadRequest, "%v", parseErr)
 		return
 	}
 	if res := s.lookupCache(j); res != nil {
@@ -116,7 +143,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // than the queue still completes; only MaxBatch bounds the request itself.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := s.decode(w, r, &req); !ok {
 		return
 	}
 	if len(req.Requests) == 0 {
@@ -173,7 +200,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // yields 429), then the session is registered for updates.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.SessionRequest
-	if !s.decode(w, r, &req) {
+	if _, ok := s.decode(w, r, &req); !ok {
 		return
 	}
 	if len(req.Instance) == 0 {
@@ -267,15 +294,16 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // cheap; concurrent updates to one session serialize inside the session.
 func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// Decode before the registry lookup: a misrouted update is proxied to
-	// its owner, and the proxy needs the parsed body.
+	// Read the body before the registry lookup: a misrouted update is
+	// proxied to its owner with the bytes it arrived with.
 	var d api.SessionDelta
-	if !s.decode(w, r, &d) {
+	body, ok := s.decode(w, r, &d)
+	if !ok {
 		return
 	}
 	entry, ok := s.sessions.get(id)
 	if !ok && s.ringst != nil {
-		if s.ringSessionMiss(w, r, id, &d) {
+		if s.ringSessionMiss(w, r, id, body) {
 			return
 		}
 		entry, ok = s.sessions.get(id) // takeover may have installed it

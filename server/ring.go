@@ -28,7 +28,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,7 +36,6 @@ import (
 	"sync"
 	"time"
 
-	"distcover"
 	"distcover/internal/durable"
 	"distcover/internal/ring"
 	"distcover/server/api"
@@ -194,49 +192,36 @@ func (s *Server) ringSessionID() string {
 	}
 }
 
-// solveKey computes the ring routing key of a solve request: the
-// instance's canonical content hash (same identity the result cache
-// uses). "" means malformed — let the local handler produce the error.
-func solveKey(req api.SolveRequest) string {
-	switch {
-	case len(req.Instance) > 0 && req.ILP != nil:
+// ringSolveOwner returns the member a solve keyed by its content hash
+// should be forwarded to, or "" to serve it here. Async solves are always
+// served locally — their job ids are polled on the accepting member — and
+// so are hop-marked requests (loop guard) and keys this member owns.
+func (s *Server) ringSolveOwner(r *http.Request, async bool, key string) string {
+	st := s.ringst
+	if st == nil || async || ringHopped(r) {
 		return ""
-	case len(req.Instance) > 0:
-		inst, err := distcover.ReadInstance(bytes.NewReader(req.Instance))
-		if err != nil {
-			return ""
-		}
-		return inst.Hash()
-	case req.ILP != nil:
-		return api.KeyILP(req.ILP)
+	}
+	if owner := st.liveOwner(key); owner != st.self {
+		return owner
 	}
 	return ""
 }
 
-// ringSolveRoute forwards a misrouted solve to its owner. Returns true if
-// the response was written (forwarded). Async solves are always served
-// locally — their job ids are polled on the accepting member — and so are
-// hop-marked requests (loop guard) and requests this member owns. A
+// ringForwardSolve forwards a misrouted solve to owner with the body bytes
+// it arrived with. Returns true if the response was written (forwarded). A
 // forward that fails at the transport level marks the owner down and
-// retries the recomputed live owner once; if that fails too the solve
-// runs locally, which any member can do.
-func (s *Server) ringSolveRoute(w http.ResponseWriter, r *http.Request, req *api.SolveRequest) bool {
-	st := s.ringst
-	if st == nil || req.Async || ringHopped(r) {
-		return false
-	}
-	key := solveKey(*req)
-	if key == "" {
-		return false
-	}
+// retries the recomputed live owner once; if that fails too (or ownership
+// falls to this member) it returns false and the solve runs locally,
+// which any member can do.
+func (s *Server) ringForwardSolve(w http.ResponseWriter, r *http.Request, owner, key string, body []byte) bool {
 	for attempt := 0; attempt < 2; attempt++ {
-		owner := st.liveOwner(key)
-		if owner == st.self || owner == "" {
+		if owner == s.ringst.self || owner == "" {
 			return false
 		}
-		if s.ringProxy(w, owner, r.URL.Path, req) {
+		if s.ringProxy(w, owner, r.URL.Path, body) {
 			return true
 		}
+		owner = s.ringst.liveOwner(key)
 	}
 	return false
 }
@@ -245,16 +230,16 @@ func (s *Server) ringSolveRoute(w http.ResponseWriter, r *http.Request, req *api
 // It returns true when a response was written (forward or redirect);
 // false means the caller should retry the local lookup — a takeover may
 // just have installed the session — and report 404 on continued absence.
-// payload nil selects redirect (bodyless GET/DELETE), non-nil selects a
-// server-side proxy of the JSON payload.
-func (s *Server) ringSessionMiss(w http.ResponseWriter, r *http.Request, id string, payload any) bool {
+// body nil selects redirect (bodyless GET/DELETE), non-nil selects a
+// server-side proxy of the received body.
+func (s *Server) ringSessionMiss(w http.ResponseWriter, r *http.Request, id string, body []byte) bool {
 	st := s.ringst
 	owner := st.ring.Owner(id)
 	if owner == st.self {
 		return false // ours, and genuinely absent
 	}
 	if !ringHopped(r) && !st.isDown(owner) {
-		if s.ringSend(w, r, owner, payload) {
+		if s.ringSend(w, r, owner, body) {
 			return true
 		}
 		// Transport failure: the proxy marked the owner down; fall through
@@ -272,7 +257,7 @@ func (s *Server) ringSessionMiss(w http.ResponseWriter, r *http.Request, id stri
 			s.ringAdopt(owner)
 			return false
 		}
-		if live != "" && !ringHopped(r) && s.ringSend(w, r, live, payload) {
+		if live != "" && !ringHopped(r) && s.ringSend(w, r, live, body) {
 			return true
 		}
 	}
@@ -280,28 +265,24 @@ func (s *Server) ringSessionMiss(w http.ResponseWriter, r *http.Request, id stri
 }
 
 // ringSend points a session request at target: 307 redirect for bodyless
-// requests (payload nil), server-side proxy otherwise. Returns true if a
+// requests (body nil), server-side proxy otherwise. Returns true if a
 // response was written.
-func (s *Server) ringSend(w http.ResponseWriter, r *http.Request, target string, payload any) bool {
-	if payload == nil {
+func (s *Server) ringSend(w http.ResponseWriter, r *http.Request, target string, body []byte) bool {
+	if body == nil {
 		s.metrics.recordRingRedirect()
 		http.Redirect(w, r, ringMemberURL(target)+r.URL.Path+"?hop=1", http.StatusTemporaryRedirect)
 		return true
 	}
-	return s.ringProxy(w, target, r.URL.Path, payload)
+	return s.ringProxy(w, target, r.URL.Path, body)
 }
 
-// ringProxy re-issues a JSON POST server-side and relays the owner's
-// response verbatim (status, content type, body). Returns false on
-// transport failure, after marking the target down; HTTP-level errors
-// from the target are a served response, not a failure.
-func (s *Server) ringProxy(w http.ResponseWriter, target, path string, payload any) bool {
+// ringProxy re-issues a JSON POST server-side with the request body bytes
+// this member received, unchanged, and relays the owner's response
+// verbatim (status, content type, body). Returns false on transport
+// failure, after marking the target down; HTTP-level errors from the
+// target are a served response, not a failure.
+func (s *Server) ringProxy(w http.ResponseWriter, target, path string, body []byte) bool {
 	st := s.ringst
-	body, err := json.Marshal(payload)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "coverd: ring forward: %v", err)
-		return true
-	}
 	req, err := http.NewRequest(http.MethodPost, ringMemberURL(target)+path, bytes.NewReader(body))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "coverd: ring forward: %v", err)

@@ -8,13 +8,18 @@ package server_test
 // exact metrics counters.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"reflect"
 	"sync"
 	"testing"
 
+	"distcover"
 	"distcover/client"
 	"distcover/internal/ring"
 	"distcover/server"
@@ -28,6 +33,52 @@ type ringMember struct {
 	hs   *http.Server
 	ln   net.Listener
 	once sync.Once
+
+	mu   sync.Mutex
+	hops []hopRecord // forwarded (X-Coverd-Hop) requests this member served
+}
+
+// hopRecord is one forwarded request as the receiving member saw it, and
+// the response bytes it wrote.
+type hopRecord struct {
+	path, hop  string
+	body, resp []byte
+}
+
+// recordHops wraps the member's handler to capture every request that
+// arrives with the hop header, byte for byte, together with the response.
+func (m *ringMember) recordHops(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hop := r.Header.Get("X-Coverd-Hop")
+		if hop == "" {
+			next.ServeHTTP(w, r)
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		tw := &teeWriter{ResponseWriter: w}
+		next.ServeHTTP(tw, r)
+		m.mu.Lock()
+		m.hops = append(m.hops, hopRecord{path: r.URL.Path, hop: hop, body: body, resp: tw.buf.Bytes()})
+		m.mu.Unlock()
+	})
+}
+
+func (m *ringMember) hopLog() []hopRecord {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]hopRecord(nil), m.hops...)
+}
+
+// teeWriter copies a response body on its way out.
+type teeWriter struct {
+	http.ResponseWriter
+	buf bytes.Buffer
+}
+
+func (w *teeWriter) Write(p []byte) (int, error) {
+	w.buf.Write(p)
+	return w.ResponseWriter.Write(p)
 }
 
 func (m *ringMember) url() string { return "http://" + m.addr }
@@ -68,7 +119,7 @@ func startRingMembers(t *testing.T, n int, walRoot string) []*ringMember {
 			t.Fatal(err)
 		}
 		m.srv = srv
-		m.hs = &http.Server{Handler: srv.Handler()}
+		m.hs = &http.Server{Handler: m.recordHops(srv.Handler())}
 		go m.hs.Serve(m.ln)
 		t.Cleanup(m.kill)
 	}
@@ -304,5 +355,118 @@ func TestRingTakeover(t *testing.T) {
 	}
 	if upd2.Session.Updates != want.Updates+1 {
 		t.Fatalf("post-takeover update count %d, want %d", upd2.Session.Updates, want.Updates+1)
+	}
+}
+
+// TestRingForwardsBodyVerbatim sends a misrouted solve and a misrouted
+// session update as hand-formatted JSON (reordered keys, extra whitespace
+// — bytes a re-encode would change) and asserts the owner received the
+// client's exact bytes with X-Coverd-Hop naming the forwarder, and that
+// the client got the owner's response bytes unchanged.
+func TestRingForwardsBodyVerbatim(t *testing.T) {
+	members := startRingMembers(t, 2, "")
+	r, err := ring.New([]string{members[0].addr, members[1].addr}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// post sends body to member m and returns the response bytes.
+	post := func(m *ringMember, path string, body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(m.url()+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", path, resp.StatusCode, out)
+		}
+		return out
+	}
+	// requireVerbatim asserts owner's only new hop is (path, body) from
+	// sender and that it answered with exactly got.
+	requireVerbatim := func(owner, sender *ringMember, before int, path string, body, got []byte) {
+		t.Helper()
+		hops := owner.hopLog()
+		if len(hops) != before+1 {
+			t.Fatalf("owner saw %d forwarded requests, want %d", len(hops), before+1)
+		}
+		h := hops[before]
+		switch {
+		case h.path != path:
+			t.Fatalf("forwarded path %q, want %q", h.path, path)
+		case h.hop != sender.addr:
+			t.Fatalf("X-Coverd-Hop %q, want the forwarder %q", h.hop, sender.addr)
+		case !bytes.Equal(h.body, body):
+			t.Fatalf("owner received\n%s\nclient sent\n%s", h.body, body)
+		case !bytes.Equal(h.resp, got):
+			t.Fatalf("client got\n%s\nowner answered\n%s", got, h.resp)
+		}
+	}
+
+	instJSON := []byte(`{ "edges" : [ [2, 0], [1,2 ],[3,1,0] ],
+	  "weights":[ 3, 1, 4, 1 ] }`)
+	inst, err := distcover.ReadInstance(bytes.NewReader(instJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := byAddr(t, members, r.Owner(inst.Hash()))
+	sender := otherThan(t, members, owner.addr)
+	solveBody := []byte(fmt.Sprintf("{\"options\": {\"epsilon\":0.5} ,\n \"instance\": %s }\n", instJSON))
+	got := post(sender, "/v1/solve", solveBody)
+	requireVerbatim(owner, sender, 0, "/v1/solve", solveBody, got)
+	if sender.srv.Metrics().Snapshot().RingForwards != 1 {
+		t.Fatal("solve was not forwarded")
+	}
+
+	sess, err := client.New(owner.url()).CreateSession(context.Background(), inst, api.SolveOptions{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := "/v1/sessions/" + sess.ID + "/update"
+	updBody := []byte("{\"edges\":[[ 4,2 ] , [0, 4]],  \"weights\" : [2]}")
+	got = post(sender, path, updBody)
+	requireVerbatim(owner, sender, 1, path, updBody, got)
+	var upd api.SessionUpdateResult
+	if err := json.Unmarshal(got, &upd); err != nil {
+		t.Fatal(err)
+	}
+	if upd.Session == nil || upd.Session.Updates != 1 || upd.NewEdges != 2 {
+		t.Fatalf("forwarded update did not apply: %+v", upd)
+	}
+}
+
+// TestRingSolveOwnerDown kills an instance's owner and sends the solve to
+// the survivor: the forward fails at the transport level, the owner is
+// marked down, and the survivor — which dropped its parsed copy before
+// forwarding — rebuilds the job and serves the solve itself.
+func TestRingSolveOwnerDown(t *testing.T) {
+	members := startRingMembers(t, 2, "")
+	r, err := ring.New([]string{members[0].addr, members[1].addr}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := genInstance(t, 50, 100, 3, 5)
+	owner := byAddr(t, members, r.Owner(inst.Hash()))
+	survivor := otherThan(t, members, owner.addr)
+	want, err := client.New(owner.url()).Solve(context.Background(), inst, api.SolveOptions{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.kill()
+
+	got, err := client.New(survivor.url()).Solve(context.Background(), inst, api.SolveOptions{Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Weight != want.Weight || !reflect.DeepEqual(got.Cover, want.Cover) || got.InstanceHash != want.InstanceHash {
+		t.Fatalf("survivor's solve diverged from the owner's: weight %d vs %d", got.Weight, want.Weight)
+	}
+	m := survivor.srv.Metrics().Snapshot()
+	if m.RingDowns < 1 || m.RingForwards != 0 {
+		t.Fatalf("survivor: member-down marks %d (want ≥ 1), forwards %d (want 0)", m.RingDowns, m.RingForwards)
 	}
 }

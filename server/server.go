@@ -252,16 +252,30 @@ func (s *Server) Workers() int { return s.cfg.Workers }
 
 // buildJob validates a SolveRequest and turns it into a queueable job.
 func (s *Server) buildJob(req api.SolveRequest) (*job, error) {
-	// Reject an unservable cluster request up front: it shares the
-	// simulator's cache identity, so deferring the check to the worker
-	// would let a warm cache serve what configuration says must fail. A
-	// peerless server can still serve the engine when a partition count is
-	// available (request or -partitions) — that is the in-process
-	// shared-memory mode.
-	if req.Options.Engine == api.EngineCluster && len(s.cfg.ClusterPeers) == 0 &&
-		req.Options.Partitions <= 0 && s.cfg.ClusterPartitions <= 0 {
-		return nil, fmt.Errorf("coverd: engine %q requires a server started with -peers, or a partition count for the local shared-memory mode", api.EngineCluster)
+	if err := s.checkEngine(req.Options); err != nil {
+		return nil, err
 	}
+	return parseJob(req)
+}
+
+// checkEngine rejects an unservable cluster request up front: it shares
+// the simulator's cache identity, so deferring the check to the worker
+// would let a warm cache serve what configuration says must fail. A
+// peerless server can still serve the engine when a partition count is
+// available (request or -partitions) — that is the in-process
+// shared-memory mode.
+func (s *Server) checkEngine(opts api.SolveOptions) error {
+	if opts.Engine == api.EngineCluster && len(s.cfg.ClusterPeers) == 0 &&
+		opts.Partitions <= 0 && s.cfg.ClusterPartitions <= 0 {
+		return fmt.Errorf("coverd: engine %q requires a server started with -peers, or a partition count for the local shared-memory mode", api.EngineCluster)
+	}
+	return nil
+}
+
+// parseJob parses a solve request's problem (instance or ILP) into a job
+// keyed by the problem's canonical content hash — the hash the ring
+// routes on and the result cache is keyed by.
+func parseJob(req api.SolveRequest) (*job, error) {
 	switch {
 	case len(req.Instance) > 0 && req.ILP != nil:
 		return nil, fmt.Errorf("request sets both instance and ilp")
