@@ -77,34 +77,63 @@ func EncodeInstance(inst *distcover.Instance) (json.RawMessage, error) {
 	return buf.Bytes(), nil
 }
 
+// instanceBody writes the request body {"instance":…,"options":…} (plus
+// "async":true when async is set) carrying inst in one buffer: the exact
+// bytes json.Marshal gives an api.SolveRequest or api.SessionRequest with
+// the encoded instance, without json.Marshal re-validating and compacting
+// the instance encoding, which is compact already.
+func instanceBody(inst *distcover.Instance, opts api.SolveOptions, async bool) ([]byte, error) {
+	o, err := json.Marshal(opts)
+	if err != nil {
+		return nil, fmt.Errorf("client: marshal: %w", err)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(`{"instance":`)
+	if _, err := inst.WriteTo(&buf); err != nil {
+		return nil, fmt.Errorf("client: encode instance: %w", err)
+	}
+	buf.WriteString(`,"options":`)
+	buf.Write(o)
+	if async {
+		buf.WriteString(`,"async":true`)
+	}
+	buf.WriteByte('}')
+	return buf.Bytes(), nil
+}
+
 // Solve solves one instance synchronously. On a ring it is routed by the
 // instance's content hash straight to the owning coordinator.
 func (c *Client) Solve(ctx context.Context, inst *distcover.Instance, opts api.SolveOptions) (*api.SolveResult, error) {
-	raw, err := EncodeInstance(inst)
+	body, err := instanceBody(inst, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	req := api.SolveRequest{Instance: raw, Options: opts}
 	var key string
 	if c.ringActive() {
 		key = inst.Hash() // the key SolveRequest would re-derive by decoding
 	}
 	var res api.SolveResult
-	if err := c.postRouted(ctx, key, "/v1/solve", req, &res); err != nil {
+	if err := c.postRouted(ctx, key, "/v1/solve", body, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
 // SolveRequest submits a prebuilt request (instance or ILP) synchronously.
+// The request is marshalled with encoding/json: a caller's Instance bytes
+// need not be compact.
 func (c *Client) SolveRequest(ctx context.Context, req api.SolveRequest) (*api.SolveResult, error) {
 	req.Async = false
+	body, err := marshal(req)
+	if err != nil {
+		return nil, err
+	}
 	var key string
 	if c.ringActive() {
 		key = solveKey(&req)
 	}
 	var res api.SolveResult
-	if err := c.postRouted(ctx, key, "/v1/solve", req, &res); err != nil {
+	if err := c.postRouted(ctx, key, "/v1/solve", body, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -178,12 +207,12 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*api.
 // goes to the client's base URL; the receiving member mints an id it owns,
 // and the later per-id calls route to that owner directly.
 func (c *Client) CreateSession(ctx context.Context, inst *distcover.Instance, opts api.SolveOptions) (*api.SessionInfo, error) {
-	raw, err := EncodeInstance(inst)
+	body, err := instanceBody(inst, opts, false)
 	if err != nil {
 		return nil, err
 	}
 	var info api.SessionInfo
-	if err := c.post(ctx, "/v1/sessions", api.SessionRequest{Instance: raw, Options: opts}, &info); err != nil {
+	if err := c.postTo(ctx, c.baseURL, "/v1/sessions", body, &info); err != nil {
 		return nil, err
 	}
 	return &info, nil
@@ -193,8 +222,12 @@ func (c *Client) CreateSession(ctx context.Context, inst *distcover.Instance, op
 // residual re-solve did together with the refreshed session state. On a
 // ring it is routed by session id to the owning coordinator.
 func (c *Client) UpdateSession(ctx context.Context, id string, delta api.SessionDelta) (*api.SessionUpdateResult, error) {
+	body, err := marshal(delta)
+	if err != nil {
+		return nil, err
+	}
 	var res api.SessionUpdateResult
-	if err := c.postRouted(ctx, id, "/v1/sessions/"+id+"/update", delta, &res); err != nil {
+	if err := c.postRouted(ctx, id, "/v1/sessions/"+id+"/update", body, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -294,16 +327,26 @@ func (c *Client) Health(ctx context.Context) (*api.Health, error) {
 	return &h, nil
 }
 
-func (c *Client) post(ctx context.Context, path string, body, out any) error {
+// marshal encodes a request body with encoding/json.
+func marshal(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("client: marshal: %w", err)
+	}
+	return data, nil
+}
+
+// post marshals v and posts it to the client's base URL.
+func (c *Client) post(ctx context.Context, path string, v, out any) error {
+	body, err := marshal(v)
+	if err != nil {
+		return err
+	}
 	return c.postTo(ctx, c.baseURL, path, body, out)
 }
 
-func (c *Client) postTo(ctx context.Context, base, path string, body, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("client: marshal: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(data))
+func (c *Client) postTo(ctx context.Context, base, path string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -323,21 +366,27 @@ func (c *Client) getTo(ctx context.Context, base, path string, out any) error {
 	return c.do(req, out)
 }
 
+// do sends req and decodes a 2xx response into out. The body is always
+// read to EOF before it is closed: a JSON decoder stops at the end of the
+// value, and a chunked response's trailing newline and terminating chunk
+// left unread would make net/http drop the connection instead of reusing
+// it.
 func (c *Client) do(req *http.Request, out any) error {
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
-		io.Copy(io.Discard, resp.Body)
 		return ErrBusy
 	case http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body)
 		return ErrNotFound
 	}
 	var apiErr api.Error

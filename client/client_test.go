@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"testing"
 	"time"
 
@@ -92,6 +93,57 @@ func TestClientAgainstRealServer(t *testing.T) {
 	defer cancel()
 	if _, err := c.Wait(waitCtx, id, time.Millisecond); err != nil {
 		t.Fatalf("wait: %v", err)
+	}
+}
+
+// TestClientReusesConnections: a response larger than the server's write
+// buffer is sent chunked, and the client must read it to EOF (past the
+// JSON value, through the terminating chunk) for net/http to return the
+// connection to the pool instead of dialling a new one per call.
+func TestClientReusesConnections(t *testing.T) {
+	srv := server.New(server.Config{Workers: 1, QueueDepth: 4})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	c := client.New(hs.URL)
+
+	// 1000 disjoint edges over 2000 unit-weight vertices: every edge puts
+	// a vertex in the cover, so the result lists at least 1000 ids.
+	const m = 1000
+	weights := make([]int64, 2*m)
+	edges := make([][]int, m)
+	for i := range edges {
+		weights[2*i], weights[2*i+1] = 1, 1
+		edges[i] = []int{2 * i, 2*i + 1}
+	}
+	inst, err := distcover.NewInstance(weights, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var conns, reused int
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) {
+			conns++
+			if info.Reused {
+				reused++
+			}
+		},
+	})
+	const solves = 20
+	for i := 0; i < solves; i++ {
+		res, err := c.Solve(ctx, inst, api.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if enc, _ := json.Marshal(res); len(enc) <= 4096 {
+				t.Fatalf("response is %d bytes; the test needs one larger than 4 KiB", len(enc))
+			}
+		}
+	}
+	if conns != solves || reused < solves-1 {
+		t.Fatalf("%d of %d solves reused a connection, want %d", reused, conns, solves-1)
 	}
 }
 

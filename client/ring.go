@@ -178,7 +178,7 @@ func dialFailed(err error) bool {
 // Updates count before resuming. Fallback posts stay unmarked: the
 // receiving member proxies to the owner itself, and its failed proxy is
 // what marks the owner down and triggers takeover server-side.
-func (c *Client) postRouted(ctx context.Context, key, path string, body, out any) error {
+func (c *Client) postRouted(ctx context.Context, key, path string, body []byte, out any) error {
 	var lastErr error
 	for _, base := range c.bases(key) {
 		err := c.postTo(ctx, base, path, body, out)

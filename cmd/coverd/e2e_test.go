@@ -405,6 +405,7 @@ var requiredMetricFamilies = []string{
 	"coverd_cluster_boundary_bytes_total",
 	"coverd_cluster_frames_total",
 	"coverd_job_queue_wait_seconds",
+	"coverd_request_stage_seconds",
 	"coverd_queue_depth",
 	"coverd_queue_capacity",
 	"coverd_workers",

@@ -8,6 +8,7 @@ import (
 
 	"distcover"
 	"distcover/internal/bench"
+	"distcover/server/api"
 )
 
 // flatWorkers is the fixed flat-runner worker count of the probes.
@@ -16,8 +17,10 @@ const flatWorkers = 4
 // MeasureAllocs counts heap allocations on the hot paths the ROADMAP asks
 // to gate machine-independently: a full lockstep solve, the same solve on
 // the chunk-parallel flat runner, a session delta batch, and instance
-// admission — the JSON decode into CSR and a cold content hash, which a
-// return to per-edge allocation would multiply by the edge count. Allocation
+// admission — the solve request's envelope decode, the JSON decode into
+// CSR and a cold content hash, which a return to per-edge allocation (or,
+// for the envelope, to copying the instance bytes) would multiply by the
+// edge count. Allocation
 // counts are a property of the code, not the hardware, so the baseline
 // comparator holds them to exact equality (the 0.001 tolerance is
 // float-formatting slack) — the regression gate that raw wall-clock
@@ -62,6 +65,15 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 			panic(err)
 		}
 	})
+	// The solve body a client writes for the fixture: the envelope scan
+	// keeps the instance in place and decodes only the options.
+	body := append(append([]byte(`{"instance":`), wire.Bytes()...), `,"options":{"no_cache":true}}`...)
+	decodeAllocs := testing.AllocsPerRun(20, func() {
+		var req api.SolveRequest
+		if err := api.DecodeSolveRequest(body, &req); err != nil {
+			panic(err)
+		}
+	})
 	// Hash is memoized, so every run hashes a freshly decoded instance.
 	hashAllocs, err := coldAllocs(20, func() (func() error, error) {
 		fresh, err := distcover.ReadInstance(bytes.NewReader(wire.Bytes()))
@@ -82,12 +94,14 @@ func MeasureAllocs(bench.Config) ([]bench.Measurement, []bench.Table, error) {
 	t.AddRow("Solve (lockstep, 2000x4000 f=3)", fmt.Sprintf("%.0f", solveAllocs))
 	t.AddRow(fmt.Sprintf("Solve (flat, %d workers)", flatWorkers), fmt.Sprintf("%.0f", flatAllocs))
 	t.AddRow("Session.Update (100-edge delta)", fmt.Sprintf("%.0f", updateAllocs))
+	t.AddRow("DecodeSolveRequest (2000x4000 solve body)", fmt.Sprintf("%.0f", decodeAllocs))
 	t.AddRow("ReadInstance (2000x4000 JSON)", fmt.Sprintf("%.0f", readAllocs))
 	t.AddRow("Instance.Hash (cold)", fmt.Sprintf("%.0f", hashAllocs))
 	ms := []bench.Measurement{
 		{Name: "allocs/solve/sim", Value: solveAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/solve/flat", Value: flatAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/session/update", Value: updateAllocs, Unit: "allocs", Tolerance: 0.001},
+		{Name: "allocs/request/solve-decode", Value: decodeAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/instance/read", Value: readAllocs, Unit: "allocs", Tolerance: 0.001},
 		{Name: "allocs/instance/hash", Value: hashAllocs, Unit: "allocs", Tolerance: 0.001},
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"distcover"
 	"distcover/server/api"
@@ -40,20 +41,92 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // first JSON value into v. It returns the body exactly as received — what
 // a ring forward relays — and false after writing an error response.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err == nil {
-		err = json.NewDecoder(bytes.NewReader(body)).Decode(v)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return nil, false
 	}
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		}
+	if err := decodeJSON(body, v); err != nil {
+		rejectBody(w, err)
 		return nil, false
 	}
 	return body, true
+}
+
+// readBody reads the request body, bounded by MaxBodyBytes, and returns
+// false after writing an error response.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		rejectBody(w, err)
+		return nil, false
+	}
+	return body, true
+}
+
+// rejectBody writes the response for a body that could not be read or
+// decoded: 413 past MaxBodyBytes, 400 otherwise.
+func rejectBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	}
+}
+
+// decodeJSON decodes the first JSON value of body into v with encoding/json.
+func decodeJSON(body []byte, v any) error {
+	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
+}
+
+// admitSolve decodes a solve body and parses its problem, timing each
+// stage into m (nil: untimed). api.DecodeSolveRequest's envelope scan hands
+// the instance bytes to parseJob unvalidated, so when parseJob rejects, the
+// body is decoded again with encoding/json and the problem parsed from
+// that: every rejection is the one that path gives, down to its text — a
+// malformed body is invalid JSON, not an instance parse error.
+func admitSolve(body []byte, m *Metrics) (req api.SolveRequest, j *job, parseErr, decodeErr error) {
+	t := time.Now()
+	decodeErr = api.DecodeSolveRequest(body, &req)
+	m.recordStage(stageDecode, time.Since(t))
+	if decodeErr != nil {
+		return req, nil, nil, decodeErr
+	}
+	if j, parseErr = parseJob(req, m); parseErr == nil {
+		return req, j, nil, nil
+	}
+	req = api.SolveRequest{}
+	if decodeErr = decodeJSON(body, &req); decodeErr != nil {
+		return req, nil, nil, decodeErr
+	}
+	j, parseErr = parseJob(req, nil)
+	return req, j, parseErr, nil
+}
+
+// admitSession is admitSolve for a session create: it decodes the body
+// with api.DecodeSessionRequest and parses its instance, falling back to
+// encoding/json when the parse fails.
+func admitSession(body []byte) (req api.SessionRequest, inst *distcover.Instance, parseErr, decodeErr error) {
+	if decodeErr = api.DecodeSessionRequest(body, &req); decodeErr != nil {
+		return req, nil, nil, decodeErr
+	}
+	if inst, parseErr = parseSessionInstance(req); parseErr == nil {
+		return req, inst, nil, nil
+	}
+	req = api.SessionRequest{}
+	if decodeErr = decodeJSON(body, &req); decodeErr != nil {
+		return req, nil, nil, decodeErr
+	}
+	inst, parseErr = parseSessionInstance(req)
+	return req, inst, parseErr, nil
+}
+
+// parseSessionInstance parses the instance a session is created over.
+func parseSessionInstance(req api.SessionRequest) (*distcover.Instance, error) {
+	if len(req.Instance) == 0 {
+		return nil, errors.New("request must set instance")
+	}
+	return distcover.ReadInstance(bytes.NewReader(req.Instance))
 }
 
 // handleSolve solves one instance. Synchronous by default: the handler
@@ -64,12 +137,15 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) ([]byte, 
 // content hash is both the ring routing key and the cache key, and a
 // misrouted solve is forwarded with the body bytes it arrived with.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req api.SolveRequest
-	body, ok := s.decode(w, r, &req)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	j, parseErr := parseJob(req)
+	req, j, parseErr, err := admitSolve(body, s.metrics)
+	if err != nil {
+		rejectBody(w, err)
+		return
+	}
 	if parseErr == nil {
 		if owner := s.ringSolveOwner(r, req.Async, j.hash); owner != "" {
 			// The owner parses the instance itself: drop this copy instead
@@ -80,7 +156,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			if s.ringForwardSolve(w, r, owner, key, body) {
 				return
 			}
-			j, parseErr = parseJob(req)
+			j, parseErr = parseJob(req, nil)
 		}
 	}
 	// The owner decides whether it can serve the engine; only a request
@@ -102,7 +178,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusAccepted, api.JobAccepted{ID: j.id, Status: api.JobDone})
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		s.writeSolveResult(w, res)
 		return
 	}
 
@@ -135,7 +211,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "solve failed: %s", st.Error)
 		return
 	}
-	writeJSON(w, http.StatusOK, st.Result)
+	s.writeSolveResult(w, st.Result)
+}
+
+// writeSolveResult writes a solve's 200 response, timing it as the solve
+// route's encode stage.
+func (s *Server) writeSolveResult(w http.ResponseWriter, res *api.SolveResult) {
+	t := time.Now()
+	writeJSON(w, http.StatusOK, res)
+	s.metrics.recordStage(stageEncode, time.Since(t))
 }
 
 // handleBatch solves many instances through the same queue and pool. Items
@@ -199,17 +283,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // through the job queue and worker pool like any other solve (a full queue
 // yields 429), then the session is registered for updates.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req api.SessionRequest
-	if _, ok := s.decode(w, r, &req); !ok {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Instance) == 0 {
-		writeError(w, http.StatusBadRequest, "request must set instance")
-		return
-	}
-	inst, err := distcover.ReadInstance(bytes.NewReader(req.Instance))
+	req, inst, parseErr, err := admitSession(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		rejectBody(w, err)
+		return
+	}
+	if parseErr != nil {
+		writeError(w, http.StatusBadRequest, "%v", parseErr)
 		return
 	}
 	if _, err := sessionLibOptions(req.Options, s.pool.cluster); err != nil {

@@ -73,6 +73,20 @@ func writeHistogram(w io.Writer, name, labels string, h *histogram) {
 	}
 }
 
+// requestStage is one admission or response stage of a request, a label
+// value of coverd_request_stage_seconds.
+type requestStage int
+
+const (
+	stageDecode requestStage = iota // request body → wire types
+	stageBuild                      // instance bytes → CSR graph
+	stageHash                       // canonical content hash
+	stageEncode                     // response value → bytes written
+	numStages
+)
+
+var stageNames = [numStages]string{"decode", "build", "hash", "encode"}
+
 // Metrics aggregates the service counters exported at GET /metrics in
 // Prometheus text exposition format. All methods are safe for concurrent
 // use; gauges (queue depth, cache size) are sampled at scrape time by the
@@ -110,11 +124,14 @@ type Metrics struct {
 	clusterBytes map[string]int64      // key: direction (sent/received)
 	clusterFrame map[string]int64      // key: direction
 	queueWait    *histogram
+	// solveStages times POST /v1/solve's stages, indexed by requestStage:
+	// a fixed array, so an observation allocates nothing.
+	solveStages [numStages]*histogram
 }
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		bucketCounts: make([]int64, len(latencyBuckets)),
 		phaseHist:    make(map[string]*histogram),
 		exchangeHist: make(map[string]*histogram),
@@ -122,6 +139,21 @@ func NewMetrics() *Metrics {
 		clusterFrame: map[string]int64{"sent": 0, "received": 0},
 		queueWait:    newHistogram(latencyBuckets),
 	}
+	for i := range m.solveStages {
+		m.solveStages[i] = newHistogram(phaseBuckets)
+	}
+	return m
+}
+
+// recordStage observes one stage of a solve request. A nil receiver
+// records nothing, so untimed callers pass a nil *Metrics.
+func (m *Metrics) recordStage(st requestStage, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	m.solveStages[st].observe(d.Seconds())
+	m.mu.Unlock()
 }
 
 func (m *Metrics) recordPhase(engine, phase string, seconds float64) {
@@ -412,6 +444,10 @@ func (m *Metrics) writeTelemetry(w io.Writer) {
 	bytesByDir := map[string]int64{"sent": m.clusterBytes["sent"], "received": m.clusterBytes["received"]}
 	framesByDir := map[string]int64{"sent": m.clusterFrame["sent"], "received": m.clusterFrame["received"]}
 	queueWait := copyHist(m.queueWait)
+	var stages [numStages]*histogram
+	for i, h := range m.solveStages {
+		stages[i] = copyHist(h)
+	}
 	m.mu.Unlock()
 
 	fmt.Fprintf(w, "# HELP coverd_solve_phase_seconds Solver wall time per algorithm phase (init/vertex/edge/gather/protocol), labeled by engine.\n# TYPE coverd_solve_phase_seconds histogram\n")
@@ -438,6 +474,11 @@ func (m *Metrics) writeTelemetry(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP coverd_job_queue_wait_seconds Time jobs spent queued before a worker picked them up.\n# TYPE coverd_job_queue_wait_seconds histogram\n")
 	writeHistogram(w, "coverd_job_queue_wait_seconds", "", queueWait)
+
+	fmt.Fprintf(w, "# HELP coverd_request_stage_seconds Wall time per request stage (decode/build/hash/encode), labeled by route.\n# TYPE coverd_request_stage_seconds histogram\n")
+	for i, h := range stages {
+		writeHistogram(w, "coverd_request_stage_seconds", fmt.Sprintf("route=\"solve\",stage=%q", stageNames[i]), h)
+	}
 }
 
 func sortedKeys(m map[string]*histogram) []string {

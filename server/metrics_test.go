@@ -43,6 +43,7 @@ var documentedMetricFamilies = map[string]string{
 	"coverd_cluster_boundary_bytes_total":     "counter",
 	"coverd_cluster_frames_total":             "counter",
 	"coverd_job_queue_wait_seconds":           "histogram",
+	"coverd_request_stage_seconds":            "histogram",
 	"coverd_queue_depth":                      "gauge",
 	"coverd_queue_capacity":                   "gauge",
 	"coverd_workers":                          "gauge",
@@ -143,6 +144,15 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if strings.Contains(text, "coverd_job_queue_wait_seconds_count 0\n") {
 		t.Error("queue-wait histogram observed nothing despite completed jobs")
+	}
+
+	// Request stages: every solve above went through POST /v1/solve and
+	// decoded, built, hashed and encoded its instance exactly once.
+	for _, stage := range []string{"decode", "build", "hash", "encode"} {
+		series := `coverd_request_stage_seconds_count{route="solve",stage="` + stage + `"} 4` + "\n"
+		if !strings.Contains(text, series) {
+			t.Errorf("metrics output missing %q", series)
+		}
 	}
 }
 

@@ -255,7 +255,7 @@ func (s *Server) buildJob(req api.SolveRequest) (*job, error) {
 	if err := s.checkEngine(req.Options); err != nil {
 		return nil, err
 	}
-	return parseJob(req)
+	return parseJob(req, nil)
 }
 
 // checkEngine rejects an unservable cluster request up front: it shares
@@ -274,17 +274,22 @@ func (s *Server) checkEngine(opts api.SolveOptions) error {
 
 // parseJob parses a solve request's problem (instance or ILP) into a job
 // keyed by the problem's canonical content hash — the hash the ring
-// routes on and the result cache is keyed by.
-func parseJob(req api.SolveRequest) (*job, error) {
+// routes on and the result cache is keyed by. An instance's build and hash
+// are timed into m as the solve route's stages (nil m: untimed).
+func parseJob(req api.SolveRequest, m *Metrics) (*job, error) {
 	switch {
 	case len(req.Instance) > 0 && req.ILP != nil:
 		return nil, fmt.Errorf("request sets both instance and ilp")
 	case len(req.Instance) > 0:
+		t := time.Now()
 		inst, err := distcover.ReadInstance(bytes.NewReader(req.Instance))
+		m.recordStage(stageBuild, time.Since(t))
 		if err != nil {
 			return nil, err
 		}
+		t = time.Now()
 		hash := inst.Hash()
+		m.recordStage(stageHash, time.Since(t))
 		return newJob(inst, nil, req.Options, hash, hash+"|"+req.Options.Fingerprint()), nil
 	case req.ILP != nil:
 		ilp := distcover.NewILP(req.ILP.Weights)
