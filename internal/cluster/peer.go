@@ -231,11 +231,16 @@ func (p *Peer) serveMux(conn net.Conn, hello helloFrame) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ft, payload, err := rw.recvFrame()
-			if err != nil {
+			// The first frame comes straight off sub: this goroutine may
+			// run before readLoop has registered sub under ch, and
+			// rw.recvFrame would then find no channel and drop the frame
+			// readLoop is about to deliver. readLoop registers sub before
+			// that delivery, so later recvFrame calls find it.
+			first, ok := <-sub
+			if !ok {
 				return // connection already torn down
 			}
-			if err := p.handleStream(rw, peerAddr, hello, ft, payload); err != nil {
+			if err := p.handleStream(rw, peerAddr, hello, first.ft, first.payload); err != nil {
 				p.logWarn("cluster peer: channel failed",
 					"remote", conn.RemoteAddr().String(), "channel", ch, "err", err)
 			}

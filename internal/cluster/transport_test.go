@@ -249,3 +249,26 @@ func TestClusterMuxPeerFailure(t *testing.T) {
 	}
 	requireResultsEqual(t, "post-failure", got, want)
 }
+
+// TestClusterMuxFirstFrameNotLost: a v3 peer starts each channel's handler
+// from the read loop as the channel's first frame arrives. The handler
+// must receive that frame even when it runs before the read loop has
+// registered the channel; a lost setup frame leaves the coordinator
+// waiting for an answer until its channel read timeout. Many partitions on
+// one peer open many channels per solve, so the race gets many chances.
+func TestClusterMuxFirstFrameNotLost(t *testing.T) {
+	g := testInstance(t, 23, 120, 360, 3)
+	opts := core.DefaultOptions()
+	want, err := core.RunFlat(g, opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startCountingPeer(t, func(p *Peer) { p.Timeout = 2 * time.Second })
+	for i := 0; i < 100; i++ {
+		got, err := Solve(g, opts, Config{Peers: []string{addr}, Partitions: 16, Timeout: 2 * time.Second})
+		if err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+		requireResultsEqual(t, "mux", got, want)
+	}
+}
